@@ -870,13 +870,6 @@ impl EgressRouter {
         }
     }
 
-    /// (delivered, lost) counters — the legacy compact view; `lost` is
-    /// `shed + displaced + disconnected_loss`.
-    pub fn stats(&self) -> (u64, u64) {
-        let s = self.inner.lock().stats;
-        (s.delivered, s.shed + s.displaced + s.disconnected_loss)
-    }
-
     /// Full delivery accounting.
     pub fn egress_stats(&self) -> EgressStats {
         self.inner.lock().stats
@@ -1019,9 +1012,9 @@ mod tests {
         for i in 0..10 {
             r.deliver([5usize], &t(i));
         }
-        let (delivered, shed) = r.stats();
-        assert_eq!(delivered, 2);
-        assert_eq!(shed, 8);
+        let s = r.egress_stats();
+        assert_eq!(s.delivered, 2);
+        assert_eq!(s.shed, 8);
     }
 
     #[test]
@@ -1052,7 +1045,7 @@ mod tests {
         let got = r.fetch(7, 10).unwrap();
         assert_eq!(got.len(), 3);
         assert_eq!(got[0].1, t(7), "oldest results rotated out");
-        assert_eq!(r.stats().1, 7);
+        assert_eq!(r.egress_stats().displaced, 7);
     }
 
     #[test]
@@ -1553,8 +1546,7 @@ mod prioritized_tests {
         for x in 0..10 {
             r.deliver([1usize], &t(x));
         }
-        let (_, dropped) = r.stats();
-        assert_eq!(dropped, 8);
+        assert_eq!(r.egress_stats().displaced, 8);
         // The BEST two survive the shedding.
         let got = r.fetch(1, 10).unwrap();
         let xs: Vec<i64> = got

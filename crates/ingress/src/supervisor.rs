@@ -305,7 +305,20 @@ impl Supervisor {
                     stats2.restarts.fetch_add(1, Ordering::Relaxed);
                     backoff(&config, attempt, &stop2);
                 }
-                let _ = output.enqueue(FjordMessage::Eof);
+                // Under back-pressure a full queue delays the Eof; it must
+                // not drop it, or every downstream DU waits for
+                // end-of-stream forever. Only a gone consumer or a stop
+                // request ends the wait. The shedding policies keep their
+                // never-block contract and offer the Eof once.
+                let mut eof = FjordMessage::Eof;
+                while let Err(EnqueueError::Full(m)) = output.enqueue(eof) {
+                    if config.policy != DegradePolicy::Backpressure || stop2.load(Ordering::Acquire)
+                    {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                    eof = m;
+                }
             })
             .expect("spawn supervisor thread");
         Supervisor {
@@ -649,6 +662,46 @@ mod tests {
         assert!(!stats.gave_up);
         let failure = stats.last_failure.unwrap();
         assert!(failure.contains("flaky source died"), "got: {failure}");
+    }
+
+    #[test]
+    fn eof_waits_for_space_in_a_full_queue() {
+        // The source finishes while its queue is full: the Eof must wait
+        // for the consumer to make room, not be dropped.
+        let (schema, master) = stock_tuples(20);
+        let total = master.len();
+        let factory: SourceFactory = Box::new(move |_, delivered| {
+            Ok(Box::new(VecSource::new(
+                schema.clone(),
+                master[delivered as usize..].to_vec(),
+            )?))
+        });
+        let (p, c) = fjord(total, QueueKind::Push);
+        let s = Supervisor::spawn(
+            "full",
+            factory,
+            p,
+            quick_config(DegradePolicy::Backpressure),
+        );
+        while s.delivered() < total as u64 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Queue full, source exhausted: give the Eof attempt time to hit
+        // the full queue before draining.
+        std::thread::sleep(Duration::from_millis(50));
+        let mut got = 0;
+        loop {
+            match c.dequeue() {
+                DequeueResult::Msg(FjordMessage::Tuple(_)) => got += 1,
+                DequeueResult::Msg(FjordMessage::Eof) => break,
+                DequeueResult::Msg(FjordMessage::Punct(_)) | DequeueResult::Empty => {
+                    std::thread::yield_now()
+                }
+                DequeueResult::Disconnected => panic!("stream ended without an Eof"),
+            }
+        }
+        assert_eq!(got, total);
+        s.join();
     }
 
     #[test]

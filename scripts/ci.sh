@@ -29,7 +29,7 @@ echo "== exp_throughput --smoke (perf tripwire: batched must beat per-tuple) =="
 echo "== exp_scaling --smoke (perf tripwire: partitioned exchange vs sequential) =="
 ./target/release/exp_scaling --smoke
 
-echo "== exp_kernels --smoke (perf tripwire: compiled + columnar kernels vs interpreter; columnar >= 1.3x row, <= 3.0 allocs/tuple) =="
+echo "== exp_kernels --smoke (perf tripwire: kernel >= 2.5x interpreter, columnar eddy >= 1.5x row eddy, <= 24.0 row / 3.0 columnar allocs/tuple) =="
 ./target/release/exp_kernels --smoke
 
 echo "== exp_query_scale --smoke (scale tripwire: 100k-CQ probe >= 20x naive, churn floor, zero probe allocs) =="

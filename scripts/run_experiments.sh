@@ -1,15 +1,25 @@
 #!/bin/sh
 # Run every experiment binary in crates/bench/src/bin/, regenerating the
 # series DESIGN.md's per-experiment index describes and the BENCH_*.json
-# perf trajectory. Pass --smoke to run each at reduced CI scale.
+# perf trajectory, then the microbenchmark harness. Results are discussed
+# in EXPERIMENTS.md.
+#
+#   ./scripts/run_experiments.sh          full run (experiments + microbenchmarks)
+#   ./scripts/run_experiments.sh --smoke  experiments only, at reduced CI scale
 set -e
 
 cd "$(dirname "$0")/.."
 
+usage="usage: $0 [--smoke]"
 SMOKE=""
-if [ "$1" = "--smoke" ]; then
-    SMOKE="--smoke"
-fi
+case "$#:$1" in
+    0:) ;;
+    1:--smoke) SMOKE="--smoke" ;;
+    *)
+        echo "$usage" >&2
+        exit 2
+        ;;
+esac
 
 cargo build --release -p tcq-bench
 
@@ -21,6 +31,16 @@ for exp in exp_eddy_adaptivity exp_adaptivity_knobs exp_cacq_sharing \
     echo "==== $exp $SMOKE ===="
     ./target/release/"$exp" $SMOKE
 done
+
+if [ -n "$SMOKE" ]; then
+    echo
+    echo "run_experiments: all experiments passed (smoke)"
+    exit 0
+fi
+
+echo
+echo "==== microbenchmarks (std timer harness) ===="
+cargo bench -p tcq-bench
 
 echo
 echo "run_experiments: all experiments completed"

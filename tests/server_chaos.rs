@@ -315,19 +315,31 @@ fn batched_and_per_tuple_dispatch_replay_identically() {
 }
 
 fn hot_schema() -> SchemaRef {
+    hot_schema_keyed(DataType::Int)
+}
+
+fn dim_schema() -> SchemaRef {
+    dim_schema_keyed(DataType::Int)
+}
+
+fn hot_schema_keyed(key: DataType) -> SchemaRef {
+    Schema::new(vec![Field::new("k", key), Field::new("v", DataType::Int)]).into_ref()
+}
+
+fn dim_schema_keyed(key: DataType) -> SchemaRef {
     Schema::new(vec![
-        Field::new("k", DataType::Int),
-        Field::new("v", DataType::Int),
+        Field::new("id", key),
+        Field::new("tag", DataType::Int),
     ])
     .into_ref()
 }
 
-fn dim_schema() -> SchemaRef {
-    Schema::new(vec![
-        Field::new("id", DataType::Int),
-        Field::new("tag", DataType::Int),
-    ])
-    .into_ref()
+/// Join-key cell for dimension row `id`, as an `Int` or as a `Str`.
+fn join_key(id: i64, key: DataType) -> Value {
+    match key {
+        DataType::Str => Value::str(format!("k{id}")),
+        _ => Value::Int(id),
+    }
 }
 
 const DIM_ROWS: i64 = 64;
@@ -344,45 +356,19 @@ fn run_scenario_with_partitions(dir: &std::path::Path, partitions: usize) -> Out
     run_join_scenario(
         dir,
         partitions,
-        true,
         "SELECT s.v, d.tag FROM s s, d d WHERE s.k = d.id \
          for (t = ST; t >= 0; t++) { WindowIs(s, t - 8000000, t); WindowIs(d, t - 9000000, t); }",
     )
 }
 
-fn run_join_scenario(
-    dir: &std::path::Path,
-    partitions: usize,
-    compiled_kernels: bool,
-    query: &str,
-) -> Outcome {
-    run_join_scenario_cfg(dir, partitions, compiled_kernels, false, query, None, None)
+fn run_join_scenario(dir: &std::path::Path, partitions: usize, query: &str) -> Outcome {
+    run_join_scenario_cfg(dir, partitions, DataType::Int, query, None, None)
 }
 
-fn run_join_scenario_with_checkpoints(
-    dir: &std::path::Path,
-    partitions: usize,
-    compiled_kernels: bool,
-    query: &str,
-    checkpoint_path: Option<PathBuf>,
-) -> Outcome {
-    run_join_scenario_cfg(
-        dir,
-        partitions,
-        compiled_kernels,
-        false,
-        query,
-        checkpoint_path,
-        None,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
 fn run_join_scenario_cfg(
     dir: &std::path::Path,
     partitions: usize,
-    compiled_kernels: bool,
-    columnar: bool,
+    key: DataType,
     query: &str,
     checkpoint_path: Option<PathBuf>,
     liveness: Option<LivenessConfig>,
@@ -396,24 +382,22 @@ fn run_join_scenario_cfg(
             disconnect_after: 4,
         },
         partitions,
-        compiled_kernels,
-        columnar,
         checkpoint_path,
         liveness,
         ..ServerConfig::default()
     })
     .unwrap();
-    server.register_stream("s", hot_schema()).unwrap();
-    server.register_stream("d", dim_schema()).unwrap();
+    server.register_stream("s", hot_schema_keyed(key)).unwrap();
+    server.register_stream("d", dim_schema_keyed(key)).unwrap();
 
     let (client, rx): (_, Receiver<Delivery>) = server.connect_push_client(4096).unwrap();
     server.submit(query, client).unwrap();
 
-    let dims = dim_schema();
+    let dims = dim_schema_keyed(key);
     let dim_batch: Vec<Tuple> = (0..DIM_ROWS)
         .map(|id| {
             TupleBuilder::new(dims.clone())
-                .push(id)
+                .push(join_key(id, key))
                 .push(id * 10)
                 .at(Timestamp::logical(id + 1))
                 .build()
@@ -427,11 +411,11 @@ fn run_join_scenario_cfg(
     server.finish_stream("d").unwrap();
     std::thread::sleep(Duration::from_millis(50));
 
-    let hot = hot_schema();
+    let hot = hot_schema_keyed(key);
     let master: Vec<Tuple> = (1..=TUPLES)
         .map(|i| {
             TupleBuilder::new(hot.clone())
-                .push(i % DIM_ROWS)
+                .push(join_key(i % DIM_ROWS, key))
                 .push(i)
                 .at(Timestamp::logical(i))
                 .build()
@@ -526,100 +510,130 @@ fn sequential_and_partitioned_join_replay_identically() {
     );
 }
 
+/// The outcome fields every same-seed replay test compares — results,
+/// egress ledger, dispatcher shed, archive counters, supervisor delivery
+/// and the normalised fault log — folded into one FNV-1a digest of their
+/// canonical text.
+fn outcome_digest(o: &Outcome) -> u64 {
+    use std::hash::Hasher;
+    let canon = format!(
+        "results={:?}|egress={:?}|shed={}|archive_errors={}|archive=({},{},{})|sup_delivered={}|log={:?}",
+        o.results,
+        o.egress,
+        o.dispatcher_shed,
+        o.archive_errors,
+        o.archive.appended,
+        o.archive.torn_pages,
+        o.archive.lost_records,
+        o.sup.delivered,
+        normalised(o.log.clone()),
+    );
+    let mut h = telegraphcq::common::Fnv1a::new();
+    h.write(canon.as_bytes());
+    h.finish()
+}
+
+/// A join with real per-source predicates on both sides, so compiled
+/// select kernels sit on the hot path of every plan that runs it.
+const PRED_JOIN_Q: &str = "SELECT s.v, d.tag FROM s s, d d \
+     WHERE s.k = d.id AND s.v > 0 AND d.tag < 1000000 \
+     for (t = ST; t >= 0; t++) { WindowIs(s, t - 8000000, t); WindowIs(d, t - 9000000, t); }";
+
+/// Digest of [`PRED_JOIN_Q`]'s chaos outcome, pinned from the engine
+/// that still carried the tree-walking and row-only modes: compiled and
+/// interpreted predicates, at P=1 columnar and row and at P=2 and P=4,
+/// all produced exactly this digest (2997 results; 2999 offered,
+/// 2997 delivered, 2 shed).
+const PRED_JOIN_GOLDEN: u64 = 0x87bb_ce6c_fc5c_118a;
+
 #[test]
-fn compiled_and_interpreted_kernels_replay_identically() {
-    // Compiled kernels must be invisible to the chaos contract: lowering
-    // predicates to bytecode and prehashing SteM/exchange keys changes
-    // how much work each tuple costs, never which tuples pass, match, or
-    // get delivered — so a same-seed run is byte-identical with kernels
-    // on or off. The query carries real per-source predicates (compiled
-    // on the fast side, interpreted on the slow side) and runs through
-    // the partitioned exchange so the prehashed routing path is covered.
-    let query = "SELECT s.v, d.tag FROM s s, d d \
-         WHERE s.k = d.id AND s.v > 0 AND d.tag < 1000000 \
-         for (t = ST; t >= 0; t++) { WindowIs(s, t - 8000000, t); WindowIs(d, t - 9000000, t); }";
-    let dir_a = temp_dir("kern-on");
-    let dir_b = temp_dir("kern-off");
-    let a = run_join_scenario(&dir_a, 2, true, query);
-    let b = run_join_scenario(&dir_b, 2, false, query);
-    assert!(!a.results.is_empty(), "the join must produce results");
+fn predicate_join_replays_golden_digest() {
+    // Compiled kernels are invisible to the chaos contract: lowering
+    // predicates to bytecode and memoizing SteM/exchange key hashes
+    // changes how much work each tuple costs, never which tuples pass,
+    // match, or get delivered. The partitioned exchange (P=2) covers the
+    // memoized routing hash; the digest pins the outcome the interpreter
+    // produced before it stopped being selectable.
+    let dir = temp_dir("kern-golden");
+    let o = run_join_scenario(&dir, 2, PRED_JOIN_Q);
+    assert!(!o.results.is_empty(), "the join must produce results");
+    assert!(o.egress.accounted(), "egress ledger must balance");
     assert_eq!(
-        a.results, b.results,
-        "answers diverged across kernels on/off"
-    );
-    assert_eq!(a.egress, b.egress, "egress accounting diverged");
-    assert_eq!(a.dispatcher_shed, b.dispatcher_shed);
-    assert_eq!(a.archive_errors, b.archive_errors);
-    assert_eq!(
-        (
-            a.archive.appended,
-            a.archive.torn_pages,
-            a.archive.lost_records
-        ),
-        (
-            b.archive.appended,
-            b.archive.torn_pages,
-            b.archive.lost_records
-        ),
-        "archive accounting diverged"
-    );
-    assert_eq!(a.sup.delivered, b.sup.delivered);
-    assert_eq!(
-        normalised(a.log),
-        normalised(b.log),
-        "fired-fault logs diverged across kernel modes"
+        outcome_digest(&o),
+        PRED_JOIN_GOLDEN,
+        "predicate join outcome drifted from the pinned digest: {:?}",
+        o.egress
     );
 }
 
 #[test]
 fn columnar_and_row_paths_replay_identically() {
-    // The columnar knob must be invisible to the chaos contract: batches
-    // convert to column runs at the eddy's ingress edge, vectorized
-    // kernels filter/probe/project whole columns, and egress re-offers
-    // row clients in the same per-row order — so a same-seed run is
-    // byte-identical columnar on or off. Covered at P=1 (the dedicated
-    // JoinCqDu, where the columnar path actually runs) and P=4 (the
-    // exchange keeps rows internally; the knob must stay inert there).
-    let query = "SELECT s.v, d.tag FROM s s, d d \
-         WHERE s.k = d.id AND s.v > 0 AND d.tag < 1000000 \
-         for (t = ST; t >= 0; t++) { WindowIs(s, t - 8000000, t); WindowIs(d, t - 9000000, t); }";
-    for partitions in [1usize, 4] {
-        let dir_a = temp_dir(&format!("col-off-p{partitions}"));
-        let dir_b = temp_dir(&format!("col-on-p{partitions}"));
-        let a = run_join_scenario_cfg(&dir_a, partitions, true, false, query, None, None);
-        let b = run_join_scenario_cfg(&dir_b, partitions, true, true, query, None, None);
+    // Single-alias dedicated joins (P=1) run columnar: batches convert
+    // to column runs at the eddy's ingress edge, vectorized kernels
+    // filter/probe/project whole columns, and egress re-offers row
+    // clients in per-row order. The exchange (P=4) keeps rows. A
+    // same-seed run must be byte-identical across the two, and both must
+    // match the digest pinned when each plan could still run either way.
+    let dir_a = temp_dir("col-p1");
+    let dir_b = temp_dir("row-p4");
+    let a = run_join_scenario(&dir_a, 1, PRED_JOIN_Q);
+    let b = run_join_scenario(&dir_b, 4, PRED_JOIN_Q);
+    assert!(!a.results.is_empty(), "the join must produce results");
+    assert_eq!(a.results, b.results, "answers diverged across P=1 / P=4");
+    assert_eq!(a.egress, b.egress, "egress accounting diverged");
+    assert_eq!(a.dispatcher_shed, b.dispatcher_shed);
+    assert_eq!(a.archive_errors, b.archive_errors);
+    assert_eq!(a.sup.delivered, b.sup.delivered);
+    assert_eq!(
+        normalised(a.log.clone()),
+        normalised(b.log.clone()),
+        "fired-fault logs diverged across P=1 / P=4"
+    );
+    assert_eq!(outcome_digest(&a), PRED_JOIN_GOLDEN, "columnar P=1 drifted");
+    assert_eq!(outcome_digest(&b), PRED_JOIN_GOLDEN, "row P=4 drifted");
+}
+
+#[test]
+fn columnar_fallback_joins_match_the_row_exchange() {
+    // Two single-alias dedicated joins whose inputs push the columnar path
+    // back onto rows: a `Str` join key (the SteM probe cannot read string
+    // keys off the hash column without an `Arc<str>` per row) and an
+    // expression projection (no whole-column projection for `s.v + 1`).
+    // P=1 runs columnar with those fallbacks, P=2 runs the row exchange;
+    // a same-seed run must give the same answers and egress ledger.
+    let window = "for (t = ST; t >= 0; t++) \
+         { WindowIs(s, t - 8000000, t); WindowIs(d, t - 9000000, t); }";
+    let cases = [
+        (
+            "str-key",
+            DataType::Str,
+            format!("SELECT s.v, d.tag FROM s s, d d WHERE s.k = d.id {window}"),
+        ),
+        (
+            "expr-proj",
+            DataType::Int,
+            format!("SELECT s.v + 1, d.tag FROM s s, d d WHERE s.k = d.id {window}"),
+        ),
+    ];
+    for (tag, key, query) in cases {
+        let dir_a = temp_dir(&format!("{tag}-p1"));
+        let dir_b = temp_dir(&format!("{tag}-p2"));
+        let a = run_join_scenario_cfg(&dir_a, 1, key, &query, None, None);
+        let b = run_join_scenario_cfg(&dir_b, 2, key, &query, None, None);
         assert!(
             !a.results.is_empty(),
-            "the join must produce results (P={partitions})"
+            "{tag}: the join must produce results"
         );
         assert_eq!(
             a.results, b.results,
-            "answers diverged across columnar on/off (P={partitions})"
+            "{tag}: answers diverged across P=1 / P=2"
         );
+        assert_eq!(a.egress, b.egress, "{tag}: egress accounting diverged");
+        assert!(a.egress.accounted(), "{tag}: egress ledger must balance");
         assert_eq!(
-            a.egress, b.egress,
-            "egress accounting diverged (P={partitions})"
-        );
-        assert_eq!(a.dispatcher_shed, b.dispatcher_shed);
-        assert_eq!(a.archive_errors, b.archive_errors);
-        assert_eq!(
-            (
-                a.archive.appended,
-                a.archive.torn_pages,
-                a.archive.lost_records
-            ),
-            (
-                b.archive.appended,
-                b.archive.torn_pages,
-                b.archive.lost_records
-            ),
-            "archive accounting diverged (P={partitions})"
-        );
-        assert_eq!(a.sup.delivered, b.sup.delivered);
-        assert_eq!(
-            normalised(a.log),
-            normalised(b.log),
-            "fired-fault logs diverged across columnar on/off (P={partitions})"
+            outcome_digest(&a),
+            outcome_digest(&b),
+            "{tag}: outcome diverged"
         );
     }
 }
@@ -634,9 +648,9 @@ fn checkpointing_on_and_off_replay_identically() {
          for (t = ST; t >= 0; t++) { WindowIs(s, t - 8000000, t); WindowIs(d, t - 9000000, t); }";
     let dir_a = temp_dir("ckpt-off");
     let dir_b = temp_dir("ckpt-on");
-    let a = run_join_scenario_with_checkpoints(&dir_a, 1, true, query, None);
-    let b =
-        run_join_scenario_with_checkpoints(&dir_b, 1, true, query, Some(dir_b.join("server.tcqk")));
+    let a = run_join_scenario_cfg(&dir_a, 1, DataType::Int, query, None, None);
+    let ckpt = Some(dir_b.join("server.tcqk"));
+    let b = run_join_scenario_cfg(&dir_b, 1, DataType::Int, query, ckpt, None);
     assert!(!a.results.is_empty(), "the join must produce results");
     assert_eq!(
         a.results, b.results,
@@ -1516,16 +1530,9 @@ fn watchdog_on_and_off_replay_identically_under_chaos() {
     // and the armed run records zero watchdog activity.
     let dir_a = temp_dir("wd-off");
     let dir_b = temp_dir("wd-on");
-    let a = run_join_scenario_cfg(&dir_a, 2, true, false, JOIN_Q, None, None);
-    let b = run_join_scenario_cfg(
-        &dir_b,
-        2,
-        true,
-        false,
-        JOIN_Q,
-        None,
-        Some(LivenessConfig::default()),
-    );
+    let a = run_join_scenario_cfg(&dir_a, 2, DataType::Int, JOIN_Q, None, None);
+    let armed = Some(LivenessConfig::default());
+    let b = run_join_scenario_cfg(&dir_b, 2, DataType::Int, JOIN_Q, None, armed);
     assert!(!a.results.is_empty(), "the join must produce results");
     assert_eq!(
         a.results, b.results,

@@ -26,10 +26,10 @@ fn reading(schema: &SchemaRef, ts: i64, id: i64, temp: f64) -> Tuple {
 }
 
 fn settle(server: &TelegraphCQ) {
-    let mut last = server.egress_stats();
+    let mut last = server.egress_stats_full();
     for _ in 0..200 {
         std::thread::sleep(Duration::from_millis(5));
-        let now = server.egress_stats();
+        let now = server.egress_stats_full();
         if now == last {
             return;
         }
